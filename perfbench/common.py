@@ -24,7 +24,22 @@ TMP = ROOT / ".perfbench_tmp"
 #: Span files written by traced runs.
 OUT = ROOT / ".perfbench_out"
 
-SETUP_REPEATS = 3
+#: Fresh interpreters timed for ``setup_s``.
+SETUP_REPEATS = 7
+#: Fresh interpreters behind each ``import.*`` figure of a traced run.
+IMPORT_REPEATS = 3
+
+#: What the set-up reference interpreter runs: standard-library imports
+#: only, in an isolated interpreter (``-I``), so a change to the program
+#: cannot move its time.
+SETUP_REFERENCE = (
+    "import json, decimal, email.mime.text, http.client, asyncio, "
+    "unittest, argparse, xml.dom.minidom, logging.handlers, sqlite3, "
+    "csv, zipfile, tarfile"
+)
+#: Time of :data:`SETUP_REFERENCE` on the 2-CPU machine the benchmark
+#: was written on, in a quiet period.
+SETUP_REFERENCE_SECONDS = 0.15
 
 
 def child_env() -> dict[str, str]:
@@ -45,20 +60,44 @@ def _run_python(args: list[str]) -> subprocess.CompletedProcess:
     )
 
 
+def _python_seconds(args: list[str]) -> float:
+    t0 = time.perf_counter()
+    _run_python(args)
+    return time.perf_counter() - t0
+
+
 def _import_line(modules: tuple[str, ...]) -> str:
     return "import " + ", ".join(modules)
 
 
-def setup_seconds(modules: tuple[str, ...], host: "HostSpeed") -> float:
-    """Median wall of a fresh interpreter importing ``modules``."""
+def setup_seconds(modules: tuple[str, ...]) -> tuple[float, float, float]:
+    """Set-up time: a fresh interpreter importing ``modules``.
+
+    Returns the median over :data:`SETUP_REPEATS` interpreters at the
+    reference host speed, the median wall clock, and the median time of
+    the reference interpreter.  The interpreters alternate with
+    reference interpreters (:data:`SETUP_REFERENCE`), and each is scaled
+    by ``SETUP_REFERENCE_SECONDS / mean(reference before, reference
+    after)``.  The reference does the same kind of work (start-up,
+    reading and executing modules) in the same kind of process, so it
+    slows down with the host much as the set-up does.
+    """
     code = _import_line(modules)
-    times = []
+    reference = ["-I", "-c", SETUP_REFERENCE]
+    before = _python_seconds(reference)
+    scaled, walls, refs = [], [], [before]
     for _ in range(SETUP_REPEATS):
-        host.sample()
-        t0 = time.perf_counter()
-        _run_python(["-c", code])
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        wall = _python_seconds(["-c", code])
+        after = _python_seconds(reference)
+        walls.append(wall)
+        refs.append(after)
+        scaled.append(wall * SETUP_REFERENCE_SECONDS / ((before + after) / 2))
+        before = after
+    return (
+        statistics.median(scaled),
+        statistics.median(walls),
+        statistics.median(refs),
+    )
 
 
 _PACKAGES = ("numpy", "scipy", "repro")
@@ -67,7 +106,7 @@ _PACKAGES = ("numpy", "scipy", "repro")
 def import_breakdown(modules: tuple[str, ...]) -> dict[str, float]:
     """Per-package import self time and bare interpreter start-up.
 
-    Each value is the median of :data:`SETUP_REPEATS` fresh interpreters;
+    Each value is the median of :data:`IMPORT_REPEATS` fresh interpreters;
     import times come from ``-X importtime``, summed by top-level
     package (everything else, the standard library included, is
     ``other``).
@@ -76,10 +115,8 @@ def import_breakdown(modules: tuple[str, ...]) -> dict[str, float]:
         f"import.{p}_s": [] for p in (*_PACKAGES, "other")
     }
     samples["setup.interpreter_s"] = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        _run_python(["-c", "pass"])
-        samples["setup.interpreter_s"].append(time.perf_counter() - t0)
+    for _ in range(IMPORT_REPEATS):
+        samples["setup.interpreter_s"].append(_python_seconds(["-c", "pass"]))
         proc = _run_python(["-X", "importtime", "-c", _import_line(modules)])
         sums = dict.fromkeys(_PACKAGES, 0.0)
         other = 0.0
@@ -138,18 +175,20 @@ def source_digest() -> str:
 
 
 class PeakMemory:
-    """Peak RSS of this process plus that of its live children.
+    """Peak memory of this process and its live children (grid workers).
 
-    Children (the grid's worker processes) are polled from
-    ``/proc/self/task/*/children`` while the sampler runs; the children's
-    part is the largest sum, over one poll, of their ``VmHWM``.  Each
-    child's ``VmHWM`` counts the pages it shares with this process too,
-    so the figure is an upper bound.
+    While the sampler runs it polls, every ``interval`` seconds, the
+    proportional set size (``Pss`` in ``/proc/<pid>/smaps_rollup``) of
+    this process and of every child listed in
+    ``/proc/self/task/*/children``, and keeps the largest sum.  A page
+    shared by forked workers is split between them, so it is counted
+    once.  The peak is that sum or this process's own peak RSS, whichever
+    is larger: the own peak catches a spike between two polls.
     """
 
     def __init__(self, interval: float = 0.02) -> None:
         self._interval = interval
-        self._children_kb = 0
+        self._peak_kb = 0
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._poll, daemon=True)
 
@@ -163,12 +202,12 @@ class PeakMemory:
 
     def _poll(self) -> None:
         while not self._stop.wait(self._interval):
-            live = sum(_vm_hwm_kb(pid) for pid in _child_pids())
-            self._children_kb = max(self._children_kb, live)
+            live = sum(_pss_kb(pid) for pid in ("self", *_child_pids()))
+            self._peak_kb = max(self._peak_kb, live)
 
     def peak_mb(self) -> float:
         own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return (own + self._children_kb) / 1024.0
+        return max(own, self._peak_kb) / 1024.0
 
 
 def _child_pids() -> list[int]:
@@ -182,11 +221,11 @@ def _child_pids() -> list[int]:
     return pids
 
 
-def _vm_hwm_kb(pid: int) -> int:
+def _pss_kb(pid) -> int:
     try:
-        with open(f"/proc/{pid}/status", encoding="ascii") as fh:
+        with open(f"/proc/{pid}/smaps_rollup", encoding="ascii") as fh:
             for line in fh:
-                if line.startswith("VmHWM:"):
+                if line.startswith("Pss:"):
                     return int(line.split()[1])
     except OSError:
         pass
@@ -250,6 +289,9 @@ class Round:
         self.items = 0
         self.primary_s = 0.0
         self.wall = 0.0
+        #: host-speed factor: a duration times this reads it at the
+        #: reference host speed (see :func:`speed_factor`)
+        self.speed = 1.0
         self.extra: dict[str, float] = {}
         self.counters: dict[str, float] = {}
         #: spans opened by the round (traced rounds only)
@@ -265,8 +307,10 @@ REFERENCE_SECONDS = 0.045
 def _reference_work() -> int:
     """A fixed heap-and-dict workload in pure Python, like the simulators'.
 
-    It does not touch the package, so a change to the program cannot
-    change its time; only the host's speed can.
+    It does not touch the package, and :meth:`HostSpeed.sample` times it
+    with the garbage collector off, so that no collection walks the
+    objects the package keeps alive: only the host's speed can change
+    its time.
     """
     heap = [(float(i % 97), i) for i in range(2000)]
     heapq.heapify(heap)
@@ -287,25 +331,38 @@ class HostSpeed:
     """Host speed over one run, from a reference loop timed between rounds.
 
     The machines this runs on share their CPUs with other tenants, and
-    their speed drifts by tens of percent over minutes: the same 30 s
-    service run measured 3.6 s to 6.0 s a round within one hour.  The
-    reference loop slows down with the host, so a run's timings are
-    scaled by ``REFERENCE_SECONDS / median(reference samples)``: what
-    they would read at the reference host speed.  Over ten runs of the
-    service workload spanning such a drift, this took the spread (IQR
-    over median) of the round time from 0.29 to 0.07.
+    their speed drifts by tens of percent within seconds and over
+    minutes.  The reference loop slows down with the host, so each timed
+    duration is scaled by the samples taken next to it (see
+    :func:`speed_factor`): what it would read at the reference host speed.
     """
 
     def __init__(self, repeats: int = 3) -> None:
         self._repeats = repeats
         self.samples: list[float] = []
 
-    def sample(self) -> None:
-        for _ in range(self._repeats):
-            t0 = time.perf_counter()
-            _reference_work()
-            self.samples.append(time.perf_counter() - t0)
+    def sample(self) -> float:
+        """Time the reference loop; returns this sample's median."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            times = []
+            for _ in range(self._repeats):
+                t0 = time.perf_counter()
+                _reference_work()
+                times.append(time.perf_counter() - t0)
+        finally:
+            if enabled:
+                gc.enable()
+        self.samples.extend(times)
+        return statistics.median(times)
 
-    def factor(self) -> float:
-        """Multiply a duration by this to read it at the reference speed."""
-        return REFERENCE_SECONDS / statistics.median(self.samples)
+
+def speed_factor(before: float, after: float) -> float:
+    """Scale for a duration timed between two host-speed samples.
+
+    The host drifts within seconds, so a duration is scaled by the
+    samples taken right before and right after it, not by the run's
+    median speed.
+    """
+    return REFERENCE_SECONDS / ((before + after) / 2)

@@ -1,13 +1,14 @@
-"""The benchmark's metric catalogue: one source for names, units and intent.
+"""The benchmark's metric catalogue.
 
-``BENCHMARK.json`` at the repository root lists the same metrics; the
-self-test (``perfbench/selftest.py``) fails when the two disagree or when
-a run leaves one out.
+Names, units, directions and bounds come from ``BENCHMARK.json`` at the
+repository root, the one place they are written.  This module adds what
+that file's fixed keys cannot hold: each per-layer metric's prediction
+and the layers spans are grouped by.
 
 End-to-end metrics are reported by every workload, because a comparison
-between two commits checks each of them on each workload.  What a work item is differs by
-workload (see ``ITEM``), so the throughput metric carries the generic
-unit ``1/s``.
+between two commits checks each of them on each workload.  What a work
+item is differs by workload (see ``ITEM``), so the throughput metric
+carries the generic unit ``1/s``.
 
 Per-layer metrics come from the traced run.  Each names the end-to-end
 metric it should move (``moves``) and the workloads it should move it on
@@ -19,7 +20,14 @@ layer reads 0.
 
 from __future__ import annotations
 
-WORKLOADS = ("sky-ladder", "mc-campaign", "service-1e6")
+import json
+from pathlib import Path
+
+SPEC = json.loads(
+    (Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text()
+)
+
+WORKLOADS = tuple(w["name"] for w in SPEC["workloads"])
 
 #: The work item behind ``items_per_s`` on each workload.
 ITEM = {
@@ -28,98 +36,89 @@ ITEM = {
     "service-1e6": "requests sampled and simulated by the fluid engine",
 }
 
-#: (name, unit, better, bound).  ``bound`` is the share of the parent's
-#: median by which the metric may worsen before a change counts as a
-#: regression.  What each metric measures is in ``perfbench/README.md``.
-END_TO_END = (
-    ("setup_s", "s", "lower", 0.25),
-    ("peak_rss_mb", "MB", "lower", 0.10),
-    ("items_per_s", "1/s", "higher", 0.25),
-    ("round_s", "s", "lower", 0.25),
-)
-
 _ALL = WORKLOADS
 _SKY = ("sky-ladder",)
 _MC = ("mc-campaign",)
 _SVC = ("service-1e6",)
 _SKY_MC = ("sky-ladder", "mc-campaign")
 
-#: (name, unit, better, moves, on).
-PER_LAYER = (
-    ("setup.interpreter_s", "s", "lower", "setup_s", _ALL),
-    ("import.numpy_s", "s", "lower", "setup_s", _ALL),
-    ("import.scipy_s", "s", "lower", "setup_s", _ALL),
-    ("import.repro_s", "s", "lower", "setup_s", _ALL),
-    ("import.other_s", "s", "lower", "setup_s", _ALL),
-    ("montage.build_s", "s", "lower", "items_per_s", _SKY_MC),
-    ("montage.plates", "count", "higher", "items_per_s", _SKY_MC),
-    ("montage.tasks", "count", "higher", "items_per_s", _SKY_MC),
-    ("workflow.fingerprint_s", "s", "lower", "items_per_s", _SKY),
-    ("workflow.fingerprint_calls", "count", "lower", "items_per_s", _SKY),
-    ("sweep.run_jobs_s", "s", "lower", "items_per_s", _SKY),
-    ("sweep.self_s", "s", "lower", "items_per_s", _SKY),
-    ("sweep.cache_hits", "count", "higher", "items_per_s", _SKY),
-    ("sweep.cache_misses", "count", "lower", "items_per_s", _SKY),
-    ("kernel.lower_s", "s", "lower", "items_per_s", _SKY),
-    ("kernel.turbo_s", "s", "lower", "items_per_s", _SKY),
-    ("kernel.turbo_configs", "count", "higher", "items_per_s", _SKY),
-    ("kernel.single_s", "s", "lower", "items_per_s", _SKY),
-    ("kernel.single_configs", "count", "higher", "items_per_s", _SKY),
-    ("kernel.capacity_s", "s", "lower", "items_per_s", _SKY),
-    ("kernel.capacity_configs", "count", "higher", "items_per_s", _SKY),
-    ("kernel.mc_s", "s", "lower", "items_per_s", _MC),
-    ("kernel.mc_cells", "count", "higher", "items_per_s", _MC),
-    ("kernel.mc_abort_ratio", "ratio", "lower", "items_per_s", _MC),
-    ("grid.run_s", "s", "lower", "items_per_s", _MC),
-    ("grid.self_s", "s", "lower", "items_per_s", _MC),
-    ("grid.shards", "count", "higher", "items_per_s", _MC),
-    ("grid.worker_efficiency", "ratio", "higher", "items_per_s", _MC),
-    ("cache.blob_put_s", "s", "lower", "items_per_s", _MC),
-    ("cache.blob_get_s", "s", "lower", "round_s", _MC),
-    ("cache.blob_puts", "count", "lower", "items_per_s", _MC),
-    ("cache.blob_gets", "count", "lower", "round_s", _MC),
-    ("cache.blob_bytes", "B", "lower", "items_per_s", _MC),
-    ("campaign.run_s", "s", "lower", "round_s", _MC),
-    ("campaign.self_s", "s", "lower", "round_s", _MC),
-    ("campaign.resume_s", "s", "lower", "round_s", _MC),
-    ("campaign.attempts", "count", "lower", "round_s", _MC),
-    ("campaign.wasted_ratio", "ratio", "lower", "round_s", _MC),
-    ("provenance.lines", "count", "lower", "round_s", _MC),
-    ("provenance.bytes", "B", "lower", "round_s", _MC),
-    ("audit.s", "s", "lower", "round_s", _MC),
-    ("audit.checks", "count", "higher", "round_s", _MC),
-    ("service.sample_s", "s", "lower", "items_per_s", _SVC),
-    ("service.summaries_s", "s", "lower", "round_s", _SVC),
-    ("service.fluid_s", "s", "lower", "items_per_s", _SVC),
-    ("service.epochs", "count", "higher", "items_per_s", _SVC),
-    ("service.hit_rate", "ratio", "higher", "items_per_s", _SVC),
-    ("service.requests", "count", "higher", "items_per_s", _SVC),
-    ("service.fluid_err_mean", "ratio", "lower", "round_s", _SVC),
-    ("service.fluid_err_max", "ratio", "lower", "round_s", _SVC),
-    ("event.window_s", "s", "lower", "round_s", _SVC),
-    ("event.requests", "count", "higher", "round_s", _SVC),
-    ("event.ms_per_request", "ms", "lower", "round_s", _SVC),
-    ("event.oracle_s", "s", "lower", "error_rate", _SKY_MC),
-    ("event.oracle_checks", "count", "higher", "error_rate", _SKY_MC),
-    ("event.oracle_failures", "count", "lower", "error_rate", _SKY_MC),
-    ("checks.error_rate", "ratio", "lower", "error_rate", _ALL),
-    ("core.pricing_s", "s", "lower", "items_per_s", _SKY),
-    ("core.pricing_calls", "count", "higher", "items_per_s", _SKY),
-    ("layer.montage_self_s", "s", "lower", "round_s", _SKY_MC),
-    ("layer.workflow_self_s", "s", "lower", "round_s", _SKY),
-    ("layer.sweep_self_s", "s", "lower", "round_s", _SKY),
-    ("layer.kernel_self_s", "s", "lower", "round_s", _SKY_MC),
-    ("layer.event_self_s", "s", "lower", "round_s", _SVC),
-    ("layer.core_self_s", "s", "lower", "round_s", _SKY),
-    ("layer.grid_self_s", "s", "lower", "round_s", _MC),
-    ("layer.cache_self_s", "s", "lower", "round_s", _MC),
-    ("layer.campaign_self_s", "s", "lower", "round_s", _MC),
-    ("layer.audit_self_s", "s", "lower", "round_s", _MC),
-    ("layer.service_self_s", "s", "lower", "round_s", _SVC),
-    ("trace.wall_s", "s", "lower", "round_s", _ALL),
-    ("trace.unaccounted_ratio", "ratio", "lower", "round_s", _ALL),
-    ("tracing.overhead_s", "s", "lower", "round_s", ()),
-)
+#: Per-layer metric -> (the end-to-end metric it should move, the
+#: workloads it should move it on).
+PREDICTIONS = {
+    "setup.interpreter_s": ("setup_s", _ALL),
+    "import.numpy_s": ("setup_s", _ALL),
+    "import.scipy_s": ("setup_s", _ALL),
+    "import.repro_s": ("setup_s", _ALL),
+    "import.other_s": ("setup_s", _ALL),
+    "montage.build_s": ("items_per_s", _SKY_MC),
+    "montage.plates": ("items_per_s", _SKY_MC),
+    "montage.tasks": ("items_per_s", _SKY_MC),
+    "workflow.fingerprint_s": ("items_per_s", _SKY),
+    "workflow.fingerprint_calls": ("items_per_s", _SKY),
+    "sweep.run_jobs_s": ("items_per_s", _SKY),
+    "sweep.self_s": ("items_per_s", _SKY),
+    "sweep.cache_hits": ("items_per_s", _SKY),
+    "sweep.cache_misses": ("items_per_s", _SKY),
+    "kernel.lower_s": ("items_per_s", _SKY),
+    "kernel.turbo_s": ("items_per_s", _SKY),
+    "kernel.turbo_configs": ("items_per_s", _SKY),
+    "kernel.single_s": ("items_per_s", _SKY),
+    "kernel.single_configs": ("items_per_s", _SKY),
+    "kernel.capacity_s": ("items_per_s", _SKY),
+    "kernel.capacity_configs": ("items_per_s", _SKY),
+    "kernel.mc_s": ("items_per_s", _MC),
+    "kernel.mc_cells": ("items_per_s", _MC),
+    "kernel.mc_abort_ratio": ("items_per_s", _MC),
+    "grid.run_s": ("items_per_s", _MC),
+    "grid.self_s": ("items_per_s", _MC),
+    "grid.shards": ("items_per_s", _MC),
+    "grid.worker_efficiency": ("items_per_s", _MC),
+    "cache.blob_put_s": ("items_per_s", _MC),
+    "cache.blob_get_s": ("round_s", _MC),
+    "cache.blob_puts": ("items_per_s", _MC),
+    "cache.blob_gets": ("round_s", _MC),
+    "cache.blob_bytes": ("items_per_s", _MC),
+    "campaign.run_s": ("round_s", _MC),
+    "campaign.self_s": ("round_s", _MC),
+    "campaign.resume_s": ("round_s", _MC),
+    "campaign.attempts": ("round_s", _MC),
+    "campaign.wasted_ratio": ("round_s", _MC),
+    "provenance.lines": ("round_s", _MC),
+    "provenance.bytes": ("round_s", _MC),
+    "audit.s": ("round_s", _MC),
+    "audit.checks": ("round_s", _MC),
+    "service.sample_s": ("items_per_s", _SVC),
+    "service.summaries_s": ("round_s", _SVC),
+    "service.fluid_s": ("items_per_s", _SVC),
+    "service.epochs": ("items_per_s", _SVC),
+    "service.hit_rate": ("items_per_s", _SVC),
+    "service.requests": ("items_per_s", _SVC),
+    "service.fluid_err_mean": ("round_s", _SVC),
+    "service.fluid_err_max": ("round_s", _SVC),
+    "event.window_s": ("round_s", _SVC),
+    "event.requests": ("round_s", _SVC),
+    "event.ms_per_request": ("round_s", _SVC),
+    "event.oracle_s": ("error_rate", _SKY_MC),
+    "event.oracle_checks": ("error_rate", _SKY_MC),
+    "event.oracle_failures": ("error_rate", _SKY_MC),
+    "checks.error_rate": ("error_rate", _ALL),
+    "core.pricing_s": ("items_per_s", _SKY),
+    "core.pricing_calls": ("items_per_s", _SKY),
+    "layer.montage_self_s": ("round_s", _SKY_MC),
+    "layer.workflow_self_s": ("round_s", _SKY),
+    "layer.sweep_self_s": ("round_s", _SKY),
+    "layer.kernel_self_s": ("round_s", _SKY_MC),
+    "layer.event_self_s": ("round_s", _SVC),
+    "layer.core_self_s": ("round_s", _SKY),
+    "layer.grid_self_s": ("round_s", _MC),
+    "layer.cache_self_s": ("round_s", _MC),
+    "layer.campaign_self_s": ("round_s", _MC),
+    "layer.audit_self_s": ("round_s", _MC),
+    "layer.service_self_s": ("round_s", _SVC),
+    "trace.wall_s": ("round_s", _ALL),
+    "trace.unaccounted_ratio": ("round_s", _ALL),
+    "tracing.overhead_s": ("round_s", ()),
+}
 
 #: Layers, by the first component of a span name.  Span names are
 #: ``<layer>.<call>``; a layer's self time is the sum of its spans' self
@@ -141,12 +140,20 @@ MEAN_TOL = 0.05
 
 
 def end_to_end_names() -> tuple[str, ...]:
-    return tuple(m[0] for m in END_TO_END)
+    return tuple(m["name"] for m in SPEC["end_to_end"])
 
 
 def per_layer_names() -> tuple[str, ...]:
-    return tuple(m[0] for m in PER_LAYER)
+    return tuple(m["name"] for m in SPEC["per_layer"])
 
 
 def units() -> dict[str, str]:
-    return {m[0]: m[1] for m in END_TO_END + PER_LAYER}
+    return {m["name"]: m["unit"] for m in _all_metrics()}
+
+
+def better() -> dict[str, str]:
+    return {m["name"]: m["better"] for m in _all_metrics()}
+
+
+def _all_metrics() -> list[dict]:
+    return SPEC["end_to_end"] + SPEC["per_layer"]

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload sky-ladder --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload sky-ladder --seed 1 --seconds 20 --trace 0
 
 Workloads: ``sky-ladder``, ``mc-campaign``, ``service-1e6`` (see
 ``perfbench/README.md`` for what each runs and why).  The seed makes the
@@ -103,13 +103,17 @@ def measure(
                 traced.append(rd)
         else:
             host = common.HostSpeed()
-            setup_s = common.setup_seconds(mod.MODULES, host)
+            setup_s, setup_wall, setup_ref = common.setup_seconds(mod.MODULES)
             workers = len(os.sched_getaffinity(0))
             with common.PeakMemory() as mem:
+                before = host.sample()
                 for r in common.rounds(seconds, max_rounds):
-                    host.sample()
-                    plain.append(attempt(r, null, workers))
-                host.sample()
+                    rd = attempt(r, null, workers)
+                    after = host.sample()
+                    if rd is not None:
+                        rd.speed = common.speed_factor(before, after)
+                    plain.append(rd)
+                    before = after
             peak_mb = mem.peak_mb()
         plain = [rd for rd in plain if rd is not None]
         traced = [rd for rd in traced if rd is not None]
@@ -137,20 +141,22 @@ def measure(
         path = common.OUT / f"spans-{name}-seed{seed}.jsonl"
         tracer.write_jsonl(path, header)
     else:
-        speed = host.factor()
         raw = {
-            "setup_s": setup_s,
+            "setup_s": setup_wall,
             "items_per_s": med(rd.items / rd.primary_s for rd in plain),
             "round_s": med(rd.wall for rd in plain),
         }
         values = {
-            "setup_s": raw["setup_s"] * speed,
+            "setup_s": setup_s,
             "peak_rss_mb": peak_mb,
-            "items_per_s": raw["items_per_s"] / speed,
-            "round_s": raw["round_s"] * speed,
+            "items_per_s": med(
+                rd.items / (rd.primary_s * rd.speed) for rd in plain
+            ),
+            "round_s": med(rd.wall * rd.speed for rd in plain),
         }
         extra.update({f"{k} (wall clock)": v for k, v in raw.items()})
         extra["host.reference_s"] = med(host.samples)
+        extra["host.setup_reference_s"] = setup_ref
         names = metrics.end_to_end_names()
     units = metrics.units()
     result = {
@@ -227,7 +233,7 @@ def _layer_metrics(rd, checks) -> dict:
 def _report(name, header, result, extra, checks, n_rounds) -> list[str]:
     import metrics
 
-    better = {m[0]: m[2] for m in metrics.END_TO_END + metrics.PER_LAYER}
+    better = metrics.better()
     lines = [f"# machine: {json.dumps(header, sort_keys=True)}"]
     lines.append(f"# {name}: {n_rounds} rounds; item = {metrics.ITEM[name]}")
     for key, metric in result["metrics"].items():

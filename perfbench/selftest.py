@@ -4,9 +4,9 @@ Usage (from the repository root)::
 
     python3 perfbench/selftest.py
 
-Checks that ``BENCHMARK.json`` and ``perfbench/metrics.py`` list the same
-metrics with the same units, directions and bounds; that every run
-prints every metric it owes, with its unit; and that a fixed seed
+Checks that every per-layer metric of ``BENCHMARK.json`` has a
+prediction in ``perfbench/metrics.py``; that every run prints every
+metric it owes, with its unit and direction; and that a fixed seed
 reproduces the check counts and every count metric of the traced run
 (configs, cells, campaign attempts, requests, oracle failures, ...)
 exactly.  Exits non-zero on the first mismatch.
@@ -14,11 +14,7 @@ exactly.  Exits non-zero on the first mismatch.
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
-
-HERE = Path(__file__).resolve().parent
 
 SEED = 3
 EXACT_UNITS = ("count", "B")
@@ -30,29 +26,19 @@ def _check(ok: bool, message: str) -> None:
 
 
 def check_catalogue(metrics) -> None:
-    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
+    """Every per-layer metric has a prediction naming real metrics."""
     _check(
-        [w["name"] for w in spec["workloads"]] == list(metrics.WORKLOADS),
-        "BENCHMARK.json workloads differ from metrics.WORKLOADS",
+        set(metrics.PREDICTIONS) == set(metrics.per_layer_names()),
+        "metrics.PREDICTIONS and BENCHMARK.json per_layer name different "
+        "metrics",
     )
-    _check(
-        [
-            (m["name"], m["unit"], m["better"], m["bound"])
-            for m in spec["end_to_end"]
-        ] == [m[:4] for m in metrics.END_TO_END],
-        "BENCHMARK.json end_to_end differs from metrics.END_TO_END",
-    )
-    _check(
-        [(m["name"], m["unit"], m["better"]) for m in spec["per_layer"]]
-        == [m[:3] for m in metrics.PER_LAYER],
-        "BENCHMARK.json per_layer differs from metrics.PER_LAYER",
-    )
-    for m in metrics.END_TO_END + metrics.PER_LAYER:
-        _check(m[2] in ("lower", "higher"), f"{m[0]}: no direction")
     ends = set(metrics.end_to_end_names()) | {"error_rate"}
-    for name, _unit, _better, moves, on in metrics.PER_LAYER:
+    for name, (moves, on) in metrics.PREDICTIONS.items():
         _check(moves in ends, f"{name} moves unknown metric {moves!r}")
         _check(set(on) <= set(metrics.WORKLOADS), f"{name}: bad workloads")
+    _check(set(metrics.ITEM) == set(metrics.WORKLOADS), "ITEM: workloads")
+    for name, better in metrics.better().items():
+        _check(better in ("lower", "higher"), f"{name}: no direction")
 
 
 def check_result(result: dict, names: tuple, units: dict, label: str):
@@ -81,6 +67,7 @@ def main() -> int:
 
     check_catalogue(metrics)
     units = metrics.units()
+    better = metrics.better()
     for workload in metrics.WORKLOADS:
         for trace, names in (
             (False, metrics.end_to_end_names()),
@@ -95,8 +82,14 @@ def main() -> int:
                 check_result(result, names, units, label)
                 for name in names:
                     _check(
-                        any(line.startswith(f"{name} = ") for line in lines),
-                        f"{label}: {name} not printed",
+                        any(
+                            line.startswith(f"{name} = ")
+                            and line.endswith(
+                                f" {units[name]} ({better[name]} is better)"
+                            )
+                            for line in lines
+                        ),
+                        f"{label}: {name} not printed with unit and direction",
                     )
                 results.append(result)
             a, b = results

@@ -14,7 +14,9 @@ fast-kernel loops do the work; Monte Carlo and the event engine do none.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 
+import repro.sim.kernel as kernel
 from repro.core.costs import compute_cost
 from repro.core.plans import ExecutionPlan
 from repro.core.pricing import AWS_2008
@@ -27,7 +29,7 @@ from repro.sweep.cache import SimCache
 from repro.sweep.job import SimJob
 
 from common import Round
-from spans import NullTracer
+from spans import NullTracer, counting
 
 MODULES = (
     "repro.core.costs", "repro.core.plans", "repro.core.pricing",
@@ -77,8 +79,15 @@ def _ladder(wf) -> list[SimJob]:
     return jobs
 
 
+LOOPS = ("turbo", "single", "capacity")
+
+
 def loop_class(job: SimJob) -> str:
-    """The fast-kernel loop ``run_fast_kernel_batch`` picks for a job."""
+    """The fast-kernel loop ``run_fast_kernel_batch`` picks for a job.
+
+    The replay groups configs by this; traced rounds check it against
+    the loops the package actually ran (:func:`_probes`).
+    """
     if job.storage_capacity_bytes is not None:
         return "capacity"
     if (
@@ -98,7 +107,7 @@ def run_round(
     with tr.span("sweep.jobs"):
         jobs = [job for wf in plates for job in _ladder(wf)]
     cache = SimCache()
-    with tr.span("sweep.run_jobs") as run_span:
+    with _probes(tr) as calls, tr.span("sweep.run_jobs") as run_span:
         results = run_jobs(jobs, workers=workers, cache=cache)
     with tr.span("core.pricing"):
         for job, res in zip(jobs, results):
@@ -117,21 +126,43 @@ def run_round(
         keep["oracle"] = (
             jobs[:CONFIGS_PER_PLATE], results[:CONFIGS_PER_PLATE]
         )
-    classes = [loop_class(job) for job in jobs]
-    out.counters.update({
-        "montage.tasks": sum(len(wf) for wf in plates),
-        "workflow.fingerprint_calls": len(jobs),
-        "sweep.cache_hits": cache.hits,
-        "sweep.cache_misses": cache.misses,
-        "core.pricing_calls": 2 * len(jobs),
-        **{
-            f"kernel.{c}_configs": classes.count(c)
-            for c in ("turbo", "single", "capacity")
-        },
-    })
     if tr.enabled:
+        classes = [loop_class(job) for job in jobs]
+        expected = {c: classes.count(c) for c in LOOPS}
+        ran = {c: calls[c] for c in LOOPS}
+        checks.record(
+            ran == expected,
+            f"run_jobs ran the kernel loops {ran}; the replay groups "
+            f"configs as {expected} (loop_class is out of date)",
+            wrong=False,
+        )
+        out.counters.update({
+            "montage.tasks": sum(len(wf) for wf in plates),
+            "workflow.fingerprint_calls": calls["fingerprint"],
+            "sweep.cache_hits": cache.hits,
+            "sweep.cache_misses": cache.misses,
+            "core.pricing_calls": 2 * len(jobs),
+            **{f"kernel.{c}_configs": ran[c] for c in LOOPS},
+        })
         _replay(seed, r, sizes, tr, run_span)
     return out
+
+
+def _probes(tr):
+    """In traced rounds, count the package's calls during ``run_jobs``.
+
+    ``SimJob.fingerprint`` calls, and the fast-kernel loop each config
+    ran on (the loops are the private functions
+    ``run_fast_kernel_batch`` dispatches to).
+    """
+    if not tr.enabled:
+        return nullcontext({})
+    return counting({
+        "fingerprint": (SimJob, "fingerprint"),
+        "turbo": (kernel, "_run_turbo"),
+        "single": (kernel, "_run_single"),
+        "capacity": (kernel, "_run_capacity"),
+    })
 
 
 def _replay(seed: int, r: int, sizes: dict, tr, run_span: dict) -> None:
@@ -149,7 +180,7 @@ def _replay(seed: int, r: int, sizes: dict, tr, run_span: dict) -> None:
                     job.fingerprint()
             with tr.span("kernel.lower"):
                 run_fast_kernel_batch(wf, [])
-            for cls in ("turbo", "single", "capacity"):
+            for cls in LOOPS:
                 with tr.span(f"kernel.{cls}"):
                     run_fast_kernel_batch(
                         wf,

@@ -11,9 +11,11 @@ returned, recorded under the entry point's span with :meth:`Tracer.under`.
 
 from __future__ import annotations
 
+import functools
 import json
 import pickle
 import time
+from collections import Counter
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
@@ -103,6 +105,37 @@ class NullTracer:
 
     def add(self, name: str, parent: dict, seconds: float, **attrs) -> dict:
         return {}
+
+
+@contextmanager
+def counting(targets: dict[str, tuple[object, str]]):
+    """Count calls to each ``owner.attr`` of ``targets`` inside the block.
+
+    Yields a :class:`~collections.Counter` keyed like ``targets``.  The
+    counting wrappers replace the attributes for the block only.  A
+    target the package no longer has raises ``AttributeError``, so a
+    renamed entry point fails the run instead of reading 0.
+    """
+    calls: Counter = Counter()
+    saved = []
+    try:
+        for key, (owner, attr) in targets.items():
+            original = getattr(owner, attr)
+            saved.append((owner, attr, original))
+            setattr(owner, attr, _counted(original, calls, key))
+        yield calls
+    finally:
+        for owner, attr, original in saved:
+            setattr(owner, attr, original)
+
+
+def _counted(fn, calls: Counter, key: str):
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def self_times(spans: list[dict]) -> dict[int, float]:
