@@ -86,6 +86,9 @@ class ServiceResult(ResponseStats):
     outcomes: list[RequestOutcome]
     horizon: float
     pool_busy_curve: StepCurve = field(repr=False)
+    #: dispatchers woken by processor releases (at most one per release
+    #: while storage is infinite and the pool is saturated)
+    pool_wakeups: int = 0
     _response_times: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -210,4 +213,5 @@ class ServiceSimulator:
             outcomes=outcomes,
             horizon=horizon,
             pool_busy_curve=pool.busy_curve,
+            pool_wakeups=pool.wakeups,
         )

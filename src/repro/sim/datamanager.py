@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import enum
 from typing import TYPE_CHECKING
+from weakref import WeakKeyDictionary
 
 from repro.workflow.cleanup import cleanup_plan, releasers_index
+from repro.workflow.dag import Workflow
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.executor import WorkflowExecutor
@@ -46,6 +48,49 @@ class DataMode(enum.Enum):
     REMOTE_IO = "remote-io"
     REGULAR = "regular"
     CLEANUP = "cleanup"
+
+
+class _EventTables:
+    """Read-only per-workflow lookups the data managers consult.
+
+    A service run executes the same workflow object for many requests;
+    these tables depend only on the DAG, so they are built once per
+    workflow snapshot (see :func:`_event_tables`) instead of once per
+    request.  They are deliberately separate from the fast kernel's
+    lowering: the event engine stays an independent oracle for it.
+    """
+
+    __slots__ = (
+        "version", "input_files", "consumers", "release_index",
+        "release_sets",
+    )
+
+    def __init__(self, workflow: Workflow, version: int) -> None:
+        self.version = version
+        #: files staged in from the user at the start, in workflow order
+        self.input_files = tuple(workflow.input_files())
+        #: file -> its consumers, sorted (the readiness-signal order)
+        self.consumers = {
+            fname: tuple(sorted(workflow.consumers_of(fname)))
+            for fname in workflow.files
+        }
+        plan = cleanup_plan(workflow)
+        #: cleanup mode: task -> files it may release, file -> releasers
+        self.release_index = releasers_index(plan)
+        self.release_sets = plan.release_after
+
+
+_TABLES: "WeakKeyDictionary[Workflow, _EventTables]" = WeakKeyDictionary()
+
+
+def _event_tables(workflow: Workflow) -> _EventTables:
+    """The workflow's tables, rebuilt whenever its version moved on."""
+    version = workflow.version  # bumped by every structural mutation
+    tables = _TABLES.get(workflow)
+    if tables is None or tables.version != version:
+        tables = _EventTables(workflow, version)
+        _TABLES[workflow] = tables
+    return tables
 
 
 class DataManager:
@@ -163,6 +208,7 @@ class _SharedStorageManager(DataManager):
     def __init__(self) -> None:
         super().__init__()
         self._pending: dict[str, set[str]] = {}
+        self._consumers: dict[str, tuple[str, ...]] = {}
         self._stage_in_queue: list[str] = []
         self._gated = False
         self._pumping = False
@@ -175,6 +221,8 @@ class _SharedStorageManager(DataManager):
 
     def on_start(self) -> None:
         wf = self.ex.workflow
+        tables = _event_tables(wf)
+        self._consumers = tables.consumers
         self._gated = self.ex.storage.capacity_bytes is not None
         self._pending = {
             tid: set(task.inputs) for tid, task in wf.tasks.items()
@@ -182,7 +230,7 @@ class _SharedStorageManager(DataManager):
         for tid, missing in self._pending.items():
             if not missing:
                 self.ex.task_data_ready(tid)
-        self._stage_in_queue = list(wf.input_files())
+        self._stage_in_queue = list(tables.input_files)
         if self._gated:
             self._headroom = max(
                 (
@@ -225,7 +273,7 @@ class _SharedStorageManager(DataManager):
         self._transfer(fname, "in", arrived)
 
     def _file_available(self, fname: str) -> None:
-        for consumer in sorted(self.ex.workflow.consumers_of(fname)):
+        for consumer in self._consumers[fname]:
             missing = self._pending[consumer]
             missing.discard(fname)
             if not missing:
@@ -306,9 +354,9 @@ class CleanupDataManager(_SharedStorageManager):
         self._release_sets: dict[str, frozenset[str]] = {}
 
     def on_start(self) -> None:
-        plan = cleanup_plan(self.ex.workflow)
-        self._release_index = releasers_index(plan)
-        self._release_sets = plan.release_after
+        tables = _event_tables(self.ex.workflow)
+        self._release_index = tables.release_index
+        self._release_sets = tables.release_sets
         super().on_start()
 
     def _after_outputs_stored(self, task_id: str) -> None:
@@ -349,10 +397,13 @@ class RemoteIODataManager(DataManager):
         #: file -> number of current holders (running consumers, or its
         #: pending stage-out); the file is on storage iff refcount > 0
         self._refcount: dict[str, int] = {}
+        self._consumers: dict[str, tuple[str, ...]] = {}
         self._gated = False
 
     def on_start(self) -> None:
         wf = self.ex.workflow
+        tables = _event_tables(wf)
+        self._consumers = tables.consumers
         self._gated = self.ex.storage.capacity_bytes is not None
         self._user_pending = {
             tid: set(task.inputs) for tid, task in wf.tasks.items()
@@ -360,12 +411,12 @@ class RemoteIODataManager(DataManager):
         for tid, missing in list(self._user_pending.items()):
             if not missing:
                 self.ex.task_data_ready(tid)
-        for fname in wf.input_files():
+        for fname in tables.input_files:
             self._mark_user_available(fname)
 
     def _mark_user_available(self, fname: str) -> None:
         self._user_available.add(fname)
-        for consumer in sorted(self.ex.workflow.consumers_of(fname)):
+        for consumer in self._consumers[fname]:
             missing = self._user_pending[consumer]
             missing.discard(fname)
             if not missing:

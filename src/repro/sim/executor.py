@@ -140,9 +140,10 @@ class WorkflowExecutor:
         self._shared_pool = processors is not None
         if processors is not None:
             self.processors = processors
-            # A shared pool: wake our dispatcher whenever anyone frees a
-            # processor (another request's completion may unblock us).
-            self.processors.subscribe_release(self._dispatch)
+            # A shared pool: while we hold ready tasks we wait in its
+            # queue, in arrival order, to be woken when another request's
+            # completion frees a processor.
+            self._pool_ticket = processors.ticket()
         else:
             self.processors = ProcessorPool(
                 environment.n_processors,
@@ -205,6 +206,8 @@ class WorkflowExecutor:
                 f"{self._state[task_id]})"
             )
         self._state[task_id] = _READY
+        if self._shared_pool and not self._ready_heap:
+            self.processors.join_waiters(self._pool_ticket, self._dispatch)
         key = self.ordering.key(self.workflow, task_id)
         heapq.heappush(self._ready_heap, (key, next(self._ready_seq), task_id))
         self._dispatch()
@@ -233,11 +236,6 @@ class WorkflowExecutor:
         if self._n_done != len(self.workflow.tasks):
             raise RuntimeError("finish() before all tasks completed")
         self._finished_at = self.engine.now
-        if self._shared_pool:
-            # We will never dispatch again: stop being woken on every
-            # release (a leak that made long service runs O(requests)
-            # per release).
-            self.processors.unsubscribe_release(self._dispatch)
         if self._on_finished is not None:
             self._on_finished(self)
 
@@ -268,6 +266,8 @@ class WorkflowExecutor:
             if not self.data_manager.reserve_for_task(task_id):
                 break
             heapq.heappop(self._ready_heap)
+            if self._shared_pool and not self._ready_heap:
+                self.processors.leave_waiters(self._pool_ticket)
             self._state[task_id] = _RUNNING
             self.processors.acquire(self.engine.now)
             self._acquired_at[task_id] = self.engine.now

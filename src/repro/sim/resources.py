@@ -9,7 +9,9 @@ the storage resource over which all stage-in/stage-out traffic flows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
 
 from repro.util.curve import StepCurve
 
@@ -24,9 +26,17 @@ class ProcessorPool:
     :attr:`available` before acquiring).  Large sweeps that never read the
     occupancy trace can pass ``track_curve=False`` to skip the per-event
     curve bookkeeping.
+
+    Several workflow executors may share one pool (service mode).  Each
+    takes a :meth:`ticket` — its place in arrival order — and joins the
+    *waiter queue* while it has ready tasks but no processor.  A release
+    wakes waiters in ticket order and stops as soon as the pool is full
+    again: a dispatcher with nothing ready, or one woken into a full
+    pool, could do nothing, so skipping it changes no schedule.
     """
 
-    __slots__ = ("n_processors", "_busy", "busy_curve", "_release_subscribers")
+    __slots__ = ("n_processors", "_busy", "busy_curve", "_tickets",
+                 "_waiters", "wakeups")
 
     def __init__(self, n_processors: int, track_curve: bool = True) -> None:
         if n_processors < 1:
@@ -34,27 +44,31 @@ class ProcessorPool:
         self.n_processors = int(n_processors)
         self._busy = 0
         self.busy_curve = StepCurve(0.0) if track_curve else None
-        #: callbacks invoked after each release, in subscription order —
-        #: lets several workflow executors share one pool (service mode):
-        #: whoever frees a processor wakes every executor's dispatcher.
-        self._release_subscribers: list = []
+        self._tickets = count()
+        #: ``(ticket, dispatch)`` of the waiting executors, sorted by
+        #: ticket (tickets are unique, so ``dispatch`` is never compared)
+        self._waiters: list[tuple[int, object]] = []
+        #: dispatchers woken by releases, over the pool's lifetime
+        self.wakeups = 0
 
-    def subscribe_release(self, callback) -> None:
-        """Invoke ``callback()`` after every release (shared-pool mode)."""
-        self._release_subscribers.append(callback)
+    def ticket(self) -> int:
+        """A sharing executor's place in the wake order (arrival order)."""
+        return next(self._tickets)
 
-    def unsubscribe_release(self, callback) -> None:
-        """Drop a release subscription (no-op if not subscribed).
+    def join_waiters(self, ticket: int, dispatch) -> None:
+        """Wake ``dispatch()`` on releases until :meth:`leave_waiters`."""
+        waiters = self._waiters
+        i = bisect_left(waiters, (ticket,))
+        if i < len(waiters) and waiters[i][0] == ticket:
+            raise RuntimeError(f"ticket {ticket} is already waiting")
+        waiters.insert(i, (ticket, dispatch))
 
-        Finished executors in service mode must call this so later
-        releases stop waking dead dispatchers — with thousands of served
-        requests the subscriber list would otherwise grow without bound
-        and every release would pay O(finished requests).
-        """
-        try:
-            self._release_subscribers.remove(callback)
-        except ValueError:
-            pass
+    def leave_waiters(self, ticket: int) -> None:
+        """Stop waking a dispatcher (no-op if it is not waiting)."""
+        waiters = self._waiters
+        i = bisect_left(waiters, (ticket,))
+        if i < len(waiters) and waiters[i][0] == ticket:
+            del waiters[i]
 
     @property
     def busy(self) -> int:
@@ -73,17 +87,23 @@ class ProcessorPool:
             self.busy_curve.add(now, +1.0)
 
     def release(self, now: float) -> None:
-        """Release one processor (then wake any subscribed dispatchers)."""
+        """Release one processor, then wake waiters until the pool is full."""
         if self._busy <= 0:
             raise RuntimeError("release on an idle processor pool")
         self._busy -= 1
         if self.busy_curve is not None:
             self.busy_curve.add(now, -1.0)
-        if self._release_subscribers:
-            # Snapshot: a woken dispatcher may finish its request and
-            # unsubscribe while we are still notifying.
-            for callback in tuple(self._release_subscribers):
-                callback()
+        waiters = self._waiters
+        i = 0
+        while self._busy < self.n_processors and i < len(waiters):
+            ticket, dispatch = waiters[i]
+            self.wakeups += 1
+            dispatch()
+            # A waiter whose ready queue emptied has left, and the next
+            # one slid into its slot; one still blocked (storage
+            # admission, boot delay) is stepped over.
+            if i < len(waiters) and waiters[i][0] == ticket:
+                i += 1
 
     def busy_processor_seconds(self, t0: float, t1: float) -> float:
         """Integral of busy processors over a window (CPU-seconds used)."""

@@ -8,8 +8,9 @@ in the comments.
 
 import pytest
 
-from repro.sim.datamanager import DataMode, make_data_manager
+from repro.sim.datamanager import DataMode, _event_tables, make_data_manager
 from repro.sim.executor import simulate
+from repro.workflow.dag import FileSpec, Task
 from repro.workflow.generators import (
     chain_workflow,
     example_figure3_workflow,
@@ -189,3 +190,36 @@ class TestFactory:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             make_data_manager("turbo")
+
+
+class TestEventTables:
+    """Per-workflow tables are shared across runs but never go stale."""
+
+    @staticmethod
+    def _extend(wf):
+        # f2 stops being a net output: t2 consumes it, together with a
+        # new input g, and writes the new output f3.
+        wf.add_file(FileSpec("g", F))
+        wf.add_file(FileSpec("f3", F))
+        wf.add_task(Task("t2", 100.0, inputs=("f2", "g"), outputs=("f3",)))
+        return wf
+
+    def test_tables_are_built_once_per_workflow(self):
+        wf = chain_workflow(2, runtime=100.0, file_size=F)
+        tables = _event_tables(wf)
+        sim(wf, 1, "cleanup", kernel="event")
+        assert _event_tables(wf) is tables
+
+    @pytest.mark.parametrize("mode", ["regular", "cleanup", "remote-io"])
+    def test_mutation_between_runs_invalidates_tables(self, mode):
+        wf = chain_workflow(2, runtime=100.0, file_size=F)
+        sim(wf, 1, mode, kernel="event")
+        stale = _event_tables(wf)
+        self._extend(wf)
+        mutated = sim(wf, 1, mode, kernel="event")
+        assert _event_tables(wf) is not stale
+        assert _event_tables(wf).input_files == ("f0", "g")
+        fresh = self._extend(chain_workflow(2, runtime=100.0, file_size=F))
+        assert mutated.n_task_executions == 3
+        assert mutated == sim(fresh, 1, mode, kernel="event")
+        assert mutated == sim(wf, 1, mode, kernel="fast")

@@ -115,32 +115,97 @@ class TestNetworkLink:
 
 
 class TestReleaseSubscriptions:
+    """The shared-pool waiter queue: who a release wakes, and in what order."""
+
+    @staticmethod
+    def _waiter(pool, name, calls, acquires=0):
+        """A dispatcher that logs its wake-up and takes ``acquires`` CPUs."""
+        ticket = pool.ticket()
+
+        def dispatch():
+            calls.append(name)
+            for _ in range(acquires):
+                pool.acquire(0.0)
+
+        return ticket, dispatch
+
     def test_unsubscribe_stops_wakeups(self):
         pool = ProcessorPool(1)
         calls = []
-        pool.subscribe_release(lambda: calls.append("a"))
+        ticket, dispatch = self._waiter(pool, "a", calls)
+        pool.join_waiters(ticket, dispatch)
         pool.acquire(0.0)
         pool.release(1.0)
         assert calls == ["a"]
-        pool.unsubscribe_release(next(iter(pool._release_subscribers)))
+        pool.leave_waiters(ticket)
         pool.acquire(2.0)
         pool.release(3.0)
         assert calls == ["a"]
+        assert pool.wakeups == 1
 
     def test_unsubscribe_unknown_callback_is_noop(self):
         pool = ProcessorPool(1)
-        pool.unsubscribe_release(lambda: None)
+        pool.leave_waiters(pool.ticket())
+        assert len(pool._waiters) == 0
 
-    def test_unsubscribe_during_notification_is_safe(self):
+    def test_joining_twice_is_rejected(self):
+        pool = ProcessorPool(1)
+        ticket = pool.ticket()
+        pool.join_waiters(ticket, lambda: None)
+        with pytest.raises(RuntimeError):
+            pool.join_waiters(ticket, lambda: None)
+
+    def test_waiters_woken_in_arrival_order(self):
+        # Tickets are handed out in arrival order; joining the queue in a
+        # different order must not change who is woken first.
         pool = ProcessorPool(1)
         calls = []
+        waiters = [self._waiter(pool, name, calls) for name in "abc"]
+        for ticket, dispatch in (waiters[2], waiters[0], waiters[1]):
+            pool.join_waiters(ticket, dispatch)
+        pool.acquire(0.0)
+        pool.release(1.0)
+        assert calls == ["a", "b", "c"]
 
-        def self_removing():
+    def test_scan_stops_once_the_pool_is_full(self):
+        pool = ProcessorPool(2)
+        calls = []
+        for name in "ab":
+            pool.join_waiters(*self._waiter(pool, name, calls, acquires=1))
+        pool.acquire(0.0)
+        pool.acquire(0.0)
+        pool.release(1.0)
+        # "a" takes the freed processor; "b" could do nothing.
+        assert calls == ["a"]
+        assert pool.available == 0
+        assert pool.wakeups == 1
+
+    def test_blocked_waiter_does_not_stop_the_scan(self):
+        # "a" is blocked (e.g. its head task cannot reserve storage) and
+        # takes nothing; the scan steps over it to "b".
+        pool = ProcessorPool(1)
+        calls = []
+        pool.join_waiters(*self._waiter(pool, "a", calls))
+        pool.join_waiters(*self._waiter(pool, "b", calls, acquires=1))
+        pool.join_waiters(*self._waiter(pool, "c", calls, acquires=1))
+        pool.acquire(0.0)
+        pool.release(1.0)
+        assert calls == ["a", "b"]
+        assert len(pool._waiters) == 3
+
+    def test_unsubscribe_during_notification_is_safe(self):
+        # A woken waiter whose ready queue empties leaves the queue from
+        # inside the scan; the waiter behind it must still be woken.
+        pool = ProcessorPool(2)
+        calls = []
+        first = pool.ticket()
+
+        def leaves():
             calls.append("x")
-            pool.unsubscribe_release(self_removing)
+            pool.leave_waiters(first)
 
-        pool.subscribe_release(self_removing)
-        pool.subscribe_release(lambda: calls.append("y"))
+        pool.join_waiters(first, leaves)
+        pool.join_waiters(*self._waiter(pool, "y", calls))
         pool.acquire(0.0)
         pool.release(1.0)
         assert calls == ["x", "y"]
@@ -151,7 +216,8 @@ class TestReleaseSubscriptions:
     def test_finished_executors_unsubscribe_from_shared_pool(self):
         # Regression: finished service-mode executors used to stay
         # subscribed forever, so every release woke every dead
-        # dispatcher (O(completed requests) per release).
+        # dispatcher (O(completed requests) per release).  Executors now
+        # wait only while they hold ready tasks, so none is left behind.
         from repro.sim.engine import SimulationEngine
         from repro.sim.executor import ExecutionEnvironment, WorkflowExecutor
         from repro.workflow.dag import FileSpec, Task, Workflow
@@ -176,10 +242,12 @@ class TestReleaseSubscriptions:
         ]
         for ex in executors:
             ex.start()
-        assert len(pool._release_subscribers) == 3
+        # By t=2.5 all three are ready and the first still computes.
+        engine.run(until=2.5)
+        assert len(pool._waiters) == 2
         engine.run()
         assert all(ex.finished for ex in executors)
-        assert pool._release_subscribers == []
+        assert len(pool._waiters) == 0
 
     def test_curve_tracking_can_be_disabled(self):
         pool = ProcessorPool(2, track_curve=False)
