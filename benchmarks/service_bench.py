@@ -13,11 +13,12 @@ Measures the tentpole claim of ``repro.service.scale`` and writes it to
    fluid engine (:func:`repro.service.scale.validate_fluid`); reported
    as per-window and aggregate relative error of the mean miss-path
    response time.
-3. **Projected speedup** — the event engine's measured seconds/request
-   extrapolated to the full stream (running 10⁶ requests through the
-   event engine outright takes hours; the projection method matches
-   ``BENCH_kernel.json``'s whole-sky extrapolation), divided by the
-   fluid wall time.
+3. **Projected speedup** — the exact simulator's measured
+   seconds/request (the windows replay on its shared-pool kernel,
+   equal to the event engine) extrapolated to the full stream (running
+   10⁶ requests exactly outright takes tens of minutes; the projection
+   method matches ``BENCH_kernel.json``'s whole-sky extrapolation),
+   divided by the fluid wall time.
 
 ``perf_guard.py`` gates the committed numbers: speedup >= 100x at 10⁶
 requests/month, mean response-time error <= 5%, a requests/second

@@ -507,6 +507,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
         )
         rows += [
             ("misses simulated", f"{result.n_requests:,}"),
+            ("path", result.path),
             ("mean response (miss)",
              format_duration(result.mean_response_time())),
             ("p95 response (miss)",

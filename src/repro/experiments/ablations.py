@@ -26,7 +26,7 @@ Studies
   (:mod:`repro.campaign`), every provenance log reconciled by
   :func:`repro.audit.campaign.audit_campaign`;
 - :func:`service_scale_study` — fluid-engine error and speedup vs the
-  event simulator across traffic levels (:mod:`repro.service.scale`),
+  exact simulator across traffic levels (:mod:`repro.service.scale`),
   each level differentially validated on subsampled windows.
 """
 
@@ -619,20 +619,21 @@ def service_scale_study(
     n_windows: int = 3,
     seed: int = 7,
 ) -> StudyResult:
-    """Fluid-engine error and speedup vs the event simulator, by scale.
+    """Fluid-engine error and speedup vs the exact simulator, by scale.
 
     For each sustained traffic level (requests/month) the full stream is
     sampled and run through the fluid engine
     (:class:`repro.service.scale.FluidServiceEngine`), then
     differentially validated by replaying ``n_windows`` subsampled
-    one-hour windows through the event-based
-    :class:`~repro.service.simulator.ServiceSimulator`
-    (:func:`repro.service.scale.validate_fluid`).  Reported per level:
+    one-hour windows through the exact
+    :class:`~repro.service.simulator.ServiceSimulator` (its shared-pool
+    kernel replay, equal to the event engine;
+    :func:`repro.service.scale.validate_fluid`).  Reported per level:
     the cache hit rate, mean relative error of the fluid miss-path
-    response time against the event engine, the fluid wall time, the
-    event engine's *projected* wall time for the full stream (measured
-    seconds/request × stream size — running it outright at 10⁷ requests
-    would take days), and the resulting speedup.
+    response time against the exact windows, the fluid wall time, the
+    exact simulator's *projected* wall time for the full stream
+    (measured seconds/request × stream size — running it outright at
+    10⁷ requests would take hours), and the resulting speedup.
     """
     from repro.service.scale import (
         FluidServiceEngine,
@@ -672,13 +673,13 @@ def service_scale_study(
     return StudyResult(
         name="service-scale",
         title=(
-            f"Service-at-scale ablation — fluid vs event engine, "
+            f"Service-at-scale ablation — fluid vs exact simulator, "
             f"{n_processors} processors, {n_windows} validation "
             f"windows/level"
         ),
         headers=(
             "req/month", "requests", "hit rate", "mean err", "max err",
-            "fluid wall", "event wall (proj.)", "speedup",
+            "fluid wall", "exact wall (proj.)", "speedup",
         ),
         rows=[
             (

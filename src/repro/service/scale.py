@@ -881,7 +881,7 @@ class FluidValidation:
         return sum(w.event_seconds for w in self.windows) / n
 
     def projected_event_seconds(self, n_requests: int) -> float:
-        """Event-engine wall time extrapolated to the full stream."""
+        """Exact-replay wall time extrapolated to the full stream."""
         return self.event_seconds_per_request * n_requests
 
 
@@ -895,13 +895,15 @@ def validate_fluid(
     summaries: tuple[ClassSummary, ...] | None = None,
     cache: SimCache | None = None,
 ) -> FluidValidation:
-    """Replay subsampled windows through the event engine and compare.
+    """Replay subsampled windows exactly and compare.
 
     Windows are spread across the horizon; each window's cache-miss
-    sub-stream runs cold-start through both the event-based
-    :class:`~repro.service.simulator.ServiceSimulator` and the fluid
-    engine, and the mean response times over the miss path (queueing +
-    service — the part the fluid model approximates) are compared.
+    sub-stream runs cold-start through both the exact
+    :class:`~repro.service.simulator.ServiceSimulator` (on its
+    shared-pool kernel unless ``REPRO_SIM_KERNEL=event``; both give the
+    same result) and the fluid engine, and the mean response times over
+    the miss path (queueing + service — the part the fluid model
+    approximates) are compared.
     """
     if n_windows < 1:
         raise ValueError("need at least one validation window")

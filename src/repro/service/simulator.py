@@ -89,6 +89,10 @@ class ServiceResult(ResponseStats):
     #: dispatchers woken by processor releases (at most one per release
     #: while storage is infinite and the pool is saturated)
     pool_wakeups: int = 0
+    #: which loop served the run: ``"kernel"`` (the lowered shared-pool
+    #: replay) or ``"event"`` (the callback event engine); both give
+    #: equal results, so it takes no part in comparisons
+    path: str = field(default="event", compare=False)
     _response_times: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -169,13 +173,35 @@ class ServiceSimulator:
         self.ordering = ordering
 
     def run(self, requests: list[ServiceRequest]) -> ServiceResult:
-        """Serve every request; returns per-request and pool metrics."""
+        """Serve every request; returns per-request and pool metrics.
+
+        Routed like :func:`repro.sim.simulate`: under the ``auto`` and
+        ``fast`` kernels (``REPRO_SIM_KERNEL``, default ``auto``),
+        untraced regular and cleanup runs with FIFO ordering on an
+        uncontended link replay on the lowered shared-pool loop
+        (:func:`repro.sim.kernel.run_shared_pool`); everything else, and
+        ``REPRO_SIM_KERNEL=event``, runs on the event engine.  Both give
+        equal results; :attr:`ServiceResult.path` says which ran.
+        """
+        # Imported lazily to avoid a cycle (the kernel builds our results).
+        from repro.sim.kernel import resolve_kernel, run_shared_pool
+
+        if (
+            resolve_kernel() != "event"
+            and self.data_mode is not DataMode.REMOTE_IO
+            and self.ordering is FIFO_ORDER
+            and not self.env.link_contention
+            and not self.env.record_trace
+        ):
+            return run_shared_pool(requests, self.env, self.data_mode)
+        # Launch in arrival order so FCFS tie-breaks follow arrival.
+        ordered = sorted(requests, key=lambda r: r.arrival_time)
         engine = SimulationEngine()
         pool = ProcessorPool(self.env.n_processors)
-        finished: dict[str, float] = {}
-        executors: list[tuple[ServiceRequest, WorkflowExecutor]] = []
-        # Launch in arrival order so FCFS tie-breaks follow arrival.
-        for request in sorted(requests, key=lambda r: r.arrival_time):
+        # Finish times by arrival position: request ids need not be unique.
+        finished: list[float | None] = [None] * len(ordered)
+        executors: list[WorkflowExecutor] = []
+        for i, request in enumerate(ordered):
             executor = WorkflowExecutor(
                 request.workflow,
                 self.env,
@@ -185,16 +211,16 @@ class ServiceSimulator:
                 processors=pool,
                 start_time=request.arrival_time,
                 on_finished=(
-                    lambda ex, rid=request.request_id: finished.__setitem__(
-                        rid, ex.engine.now
-                    )
+                    lambda ex, i=i: finished.__setitem__(i, ex.engine.now)
                 ),
             )
             executor.start()
-            executors.append((request, executor))
+            executors.append(executor)
         engine.run()
         outcomes = []
-        for request, executor in executors:
+        for request, executor, finished_at in zip(
+            ordered, executors, finished
+        ):
             if not executor.finished:
                 raise RuntimeError(
                     f"request {request.request_id!r} never completed"
@@ -203,10 +229,10 @@ class ServiceSimulator:
                 RequestOutcome(
                     request=request,
                     result=executor.result(),
-                    finished_at=finished[request.request_id],
+                    finished_at=finished_at,
                 )
             )
-        horizon = max(finished.values(), default=0.0)
+        horizon = max(finished, default=0.0)
         return ServiceResult(
             n_processors=self.env.n_processors,
             data_mode=self.data_mode.value,
@@ -214,4 +240,5 @@ class ServiceSimulator:
             horizon=horizon,
             pool_busy_curve=pool.busy_curve,
             pool_wakeups=pool.wakeups,
+            path="event",
         )

@@ -33,7 +33,7 @@ tuples that replicates the engine's scheduling discipline *exactly*:
   identical to the engine's push-then-pop, and the common case on the
   wide phases of Montage-like workflows.
 
-Three execution paths share the lowering:
+Four execution paths share the lowering:
 
 * :func:`run_fast_kernel` — one configuration, any data mode, traced or
   not.  Contended (FIFO) links are modelled inline by tracking each
@@ -55,6 +55,15 @@ Three execution paths share the lowering:
   across every probability (a fresh model restarts the stream, so one
   seed replays one buffer), and summary-only cells skip trace and
   curve materialization entirely.
+* :func:`run_shared_pool` — a stream of service requests on one shared
+  processor pool, each request's workflow class lowered once.  Each
+  request keeps its own storage and FIFO ready queue, and a processor
+  release hands the freed processor to the earliest-arrived waiting
+  request, as the event pool's waiter queue does; the returned
+  :class:`~repro.service.simulator.ServiceResult` equals the event
+  ``ServiceSimulator``'s (untraced regular and cleanup modes, FIFO
+  ordering, uncontended link — the configurations the service routes
+  here; ``tests/service/test_shared_pool_kernel.py`` holds it to that).
 
 Failure injection replays bit-identically too: the loops reproduce the
 engine's exact ``(time, seq)`` event order, so consuming the seeded
@@ -84,6 +93,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Sequence
@@ -114,6 +124,7 @@ __all__ = [
     "run_fast_kernel",
     "run_fast_kernel_batch",
     "run_monte_carlo",
+    "run_shared_pool",
     "summary_batch",
 ]
 
@@ -1190,6 +1201,289 @@ def _run_single(
         transfer_records=transfer_records,
         storage_curve=storage_curve if trace else None,
         busy_curve=busy_curve,
+    )
+
+
+# ------------------------------------------------------------------ #
+# shared-pool service loop (many requests, one processor pool)
+# ------------------------------------------------------------------ #
+_BEGIN = 6  # service request arrival (the executor's _begin)  a = 0
+
+
+class _PoolRequest:
+    """One request's replay state in :func:`run_shared_pool`.
+
+    The lowered tables belong to the request's workflow class and are
+    shared by every request of that class; the rest is the request's
+    own, as each event executor owns its storage, link counters and
+    ready queue.
+    """
+
+    __slots__ = (
+        "low", "sizes", "consumers", "task_outputs", "runtimes",
+        "tr_dur", "exec_dur", "release_candidates", "start", "pending",
+        "release_need", "store", "storage_deltas", "queue", "acquired_at",
+        "n_done", "held_seconds", "compute_seconds", "stage_outs_left",
+        "finished_at",
+    )
+
+    def __init__(
+        self, low: _Lowering, tr_dur, exec_dur, start: float, cleanup: bool
+    ) -> None:
+        self.low = low
+        self.sizes = low.sizes
+        self.consumers = low.consumers
+        self.task_outputs = low.task_outputs
+        self.runtimes = low.runtimes
+        self.tr_dur = tr_dur
+        self.exec_dur = exec_dur
+        self.start = start
+        self.pending = list(low.n_inputs)  # files still missing per task
+        if cleanup:
+            self.release_candidates, need = low.cleanup_tables()
+            self.release_need = list(need)
+        else:
+            self.release_candidates = self.release_need = None
+        self.store: dict[int, float] = {}  # insertion-ordered objects
+        self.storage_deltas: list = []
+        self.queue: deque[int] = deque()  # FIFO ready queue
+        self.acquired_at = [0.0] * low.n_tasks
+        self.n_done = 0
+        self.held_seconds = 0.0
+        self.compute_seconds = 0.0
+        self.stage_outs_left = 0
+        self.finished_at: float | None = None
+
+
+def run_shared_pool(
+    requests: Sequence,
+    environment: "ExecutionEnvironment",
+    data_mode: DataMode | str = DataMode.CLEANUP,
+):
+    """Serve a request stream on one shared processor pool.
+
+    The lowered-array counterpart of
+    :meth:`repro.service.simulator.ServiceSimulator.run`: it returns a
+    :class:`~repro.service.simulator.ServiceResult` equal to the event
+    engine's — per-request results and finish times, horizon, pool busy
+    curve and wake-up count.  Each workflow class is lowered once
+    (:class:`_Lowering`); each request keeps its own storage and FIFO
+    ready queue, and requests meet only at the pool.  The engine's
+    sequence points are mirrored exactly:
+
+    * the requests' ``_begin`` events take sequence numbers ``0..K-1``
+      in arrival order before the run starts;
+    * within a request, events follow :func:`_run_single`'s
+      shared-storage branch statement for statement;
+    * a processor release wakes the waiting requests (those holding
+      queued ready tasks) in arrival order and stops once the pool is
+      full, counting one wake-up per woken dispatcher, as
+      :meth:`~repro.sim.resources.ProcessorPool.release` does.
+
+    With infinite storage and no boot delay a woken request always
+    takes the freed processor, so a free processor implies that no
+    request waits: a task that becomes ready while one is free starts
+    at once, and a release wakes at most one request — the lowest
+    waiting ticket.  The loop relies on that invariant.
+
+    Covers regular and cleanup modes under FIFO ordering on an
+    uncontended link with infinite storage and no boot delay, untraced;
+    any other environment raises ``ValueError`` (the service keeps those
+    on the event engine).
+    """
+    # Imported lazily: the service layer sits above the sim layer.
+    from repro.service.simulator import RequestOutcome, ServiceResult
+
+    if isinstance(data_mode, str):
+        data_mode = DataMode(data_mode)
+    if (
+        data_mode is DataMode.REMOTE_IO
+        or environment.storage_capacity_bytes is not None
+        or environment.link_contention
+        or environment.record_trace
+        or environment.compute_ready_seconds > 0.0
+    ):
+        raise ValueError(
+            "run_shared_pool replays untraced regular/cleanup runs on an "
+            "uncontended link with infinite storage and no boot delay"
+        )
+    n_processors = environment.n_processors
+    if n_processors < 1:
+        raise ValueError(f"need at least one processor, got {n_processors}")
+    cleanup = data_mode is DataMode.CLEANUP
+    bandwidth = environment.bandwidth_bytes_per_sec
+    overhead = environment.task_overhead_seconds
+
+    # Launch in arrival order, as the service does: ticket = position.
+    ordered = sorted(requests, key=lambda req: req.arrival_time)
+    classes: dict[int, tuple] = {}
+    reqs: list[_PoolRequest] = []
+    heap: list = []
+    for i, request in enumerate(ordered):
+        workflow = request.workflow
+        cls = classes.get(id(workflow))
+        if cls is None:
+            low = _lowering(workflow)
+            cls = (
+                low, low.transfer_durations(bandwidth),
+                low.exec_durations(overhead),
+            )
+            classes[id(workflow)] = cls
+        start = float(request.arrival_time)
+        reqs.append(_PoolRequest(*cls, start, cleanup))
+        # Sorted by (time, seq), so the list is already a valid heap.
+        heap.append((max(start, 0.0), i, _BEGIN, i, 0))
+    seq = len(ordered)
+
+    free = n_processors
+    waiters: list[int] = []  # tickets of requests with queued tasks
+    wakeups = 0
+    busy_deltas: list = []  # pool occupancy, in engine order
+
+    def ready(q: _PoolRequest, r: int, t: int, now: float) -> None:
+        """task_data_ready: start at once on a free processor, or queue."""
+        nonlocal free, seq
+        if free:
+            free -= 1
+            busy_deltas.append((now, 1.0))
+            q.acquired_at[t] = now
+            q.compute_seconds += q.runtimes[t]
+            heappush(heap, (now + q.exec_dur[t], seq, _DONE, r, t))
+            seq += 1
+        else:
+            if not q.queue:
+                heappush(waiters, r)
+            q.queue.append(t)
+
+    while heap:
+        now, _, kind, r, a = heappop(heap)
+        q = reqs[r]
+        if kind == _DONE:
+            t = a
+            q.n_done += 1
+            q.held_seconds += now - q.acquired_at[t]
+            busy_deltas.append((now, -1.0))
+            if waiters:
+                # The pool was full; the first waiter takes the freed
+                # processor for the head of its queue.
+                w = waiters[0]
+                p = reqs[w]
+                u = p.queue.popleft()
+                if not p.queue:
+                    heappop(waiters)
+                wakeups += 1
+                busy_deltas.append((now, 1.0))
+                p.acquired_at[u] = now
+                p.compute_seconds += p.runtimes[u]
+                heappush(heap, (now + p.exec_dur[u], seq, _DONE, w, u))
+                seq += 1
+            else:
+                free += 1
+            sizes = q.sizes
+            store = q.store
+            deltas = q.storage_deltas
+            outs = q.task_outputs[t]
+            for f in outs:
+                store[f] = sizes[f]
+                deltas.append((now, sizes[f]))
+            if cleanup:
+                need = q.release_need
+                for f in q.release_candidates[t]:
+                    need[f] -= 1
+                    if not need[f] and f in store:
+                        del store[f]
+                        deltas.append((now, -sizes[f]))
+            pending = q.pending
+            consumers = q.consumers
+            for f in outs:
+                for c in consumers[f]:
+                    pending[c] -= 1
+                    if not pending[c]:
+                        ready(q, r, c, now)
+            if q.n_done == q.low.n_tasks:
+                output_fidx = q.low.output_fidx
+                if output_fidx:
+                    q.stage_outs_left = len(output_fidx)
+                    tr_dur = q.tr_dur
+                    for f in output_fidx:
+                        heappush(heap, (now + tr_dur[f], seq, _SOUT, r, f))
+                        seq += 1
+                else:
+                    for sz in store.values():
+                        deltas.append((now, -sz))
+                    store.clear()
+                    q.finished_at = now
+        elif kind == _SIN:
+            f = a
+            size = q.sizes[f]
+            q.store[f] = size
+            q.storage_deltas.append((now, size))
+            pending = q.pending
+            for c in q.consumers[f]:
+                pending[c] -= 1
+                if not pending[c]:
+                    ready(q, r, c, now)
+        elif kind == _SOUT:
+            f = a
+            store = q.store
+            deltas = q.storage_deltas
+            if cleanup:
+                del store[f]
+                deltas.append((now, -q.sizes[f]))
+            q.stage_outs_left -= 1
+            if not q.stage_outs_left:
+                # _finalize: remaining objects go in insertion order.
+                for sz in store.values():
+                    deltas.append((now, -sz))
+                store.clear()
+                q.finished_at = now
+        else:  # _BEGIN: data_manager.on_start
+            low = q.low
+            if not low.n_tasks:
+                q.finished_at = now
+                continue
+            for t in low.no_input_tasks:
+                ready(q, r, t, now)
+            tr_dur = q.tr_dur
+            for f in low.input_fidx:
+                heappush(heap, (now + tr_dur[f], seq, _SIN, r, f))
+                seq += 1
+
+    mode = data_mode.value
+    outcomes = []
+    for request, q in zip(ordered, reqs):
+        finished_at = q.finished_at
+        if finished_at is None:
+            raise RuntimeError(
+                f"request {request.request_id!r} never completed"
+            )
+        low = q.low
+        ran = low.n_tasks > 0
+        curve = _replay(q.storage_deltas)
+        result = SimulationResult(
+            workflow_name=request.workflow.name,
+            n_processors=n_processors,
+            data_mode=mode,
+            makespan=finished_at - q.start,
+            bytes_in=low.stage_in_bytes if ran else 0.0,
+            bytes_out=low.stage_out_bytes if ran else 0.0,
+            storage_byte_seconds=curve.integral(q.start, finished_at),
+            peak_storage_bytes=curve.max_value(),
+            cpu_busy_seconds=q.held_seconds,
+            compute_seconds=q.compute_seconds,
+            n_transfers_in=len(low.input_fidx) if ran else 0,
+            n_transfers_out=len(low.output_fidx) if ran else 0,
+            n_task_executions=low.n_tasks,
+        )
+        outcomes.append(RequestOutcome(request, result, finished_at))
+    return ServiceResult(
+        n_processors=n_processors,
+        data_mode=mode,
+        outcomes=outcomes,
+        horizon=max((o.finished_at for o in outcomes), default=0.0),
+        pool_busy_curve=_replay(busy_deltas),
+        pool_wakeups=wakeups,
+        path="kernel",
     )
 
 

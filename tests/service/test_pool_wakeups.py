@@ -3,9 +3,12 @@
 A processor release wakes only dispatchers that hold ready tasks, in
 arrival order, and stops once the pool is full.  The reference below is
 the wake-everyone rule it replaced; both must give every request the
-same schedule, bit for bit.
+same schedule, bit for bit.  The ``ServiceSimulator``-level tests run
+under ``REPRO_SIM_KERNEL`` = ``event`` and ``auto``, so the lowered
+shared-pool replay is held to the same reference as the event engine.
 """
 
+import os
 from unittest import mock
 
 import pytest
@@ -17,11 +20,14 @@ from repro.service.arrivals import ServiceRequest
 from repro.service.simulator import ServiceSimulator
 from repro.sim.engine import SimulationEngine
 from repro.sim.executor import ExecutionEnvironment, WorkflowExecutor
+from repro.sim.kernel import KERNEL_ENV
 from repro.sim.resources import ProcessorPool
 from repro.workflow.generators import random_layered_workflow
 
 BW = 1.25e6
 MODES = ("regular", "cleanup", "remote-io")
+#: ``REPRO_SIM_KERNEL`` values the service-level tests run under.
+KERNELS = ("event", "auto")
 
 
 class BroadcastPool(ProcessorPool):
@@ -63,14 +69,24 @@ class BroadcastExecutor(WorkflowExecutor):
         self.processors.subscribers.append(self._dispatch)
 
 
-def _serve(requests, p, mode, broadcast):
-    with mock.patch.multiple(
+def _serve(requests, p, mode, broadcast, kernel="event"):
+    """Serve under ``REPRO_SIM_KERNEL=kernel`` (the reference: ``event``).
+
+    Under ``event`` both runs keep their traces, as they always did.
+    Under ``auto`` both run untraced, so eligible streams leave the
+    event engine for the kernel; the broadcast reference is pinned to
+    the event engine either way.
+    """
+    with mock.patch.dict(
+        os.environ, {KERNEL_ENV: "event" if broadcast else kernel}
+    ), mock.patch.multiple(
         service_simulator,
         ProcessorPool=BroadcastPool if broadcast else ProcessorPool,
         WorkflowExecutor=BroadcastExecutor if broadcast else WorkflowExecutor,
     ):
         return ServiceSimulator(
-            p, mode, bandwidth_bytes_per_sec=BW, record_trace=True
+            p, mode, bandwidth_bytes_per_sec=BW,
+            record_trace=kernel == "event",
         ).run(requests)
 
 
@@ -111,12 +127,17 @@ def _requests(stream):
 
 
 @pytest.mark.property
+@pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=40, deadline=None)
 @given(stream=streams, p=st.integers(1, 2), mode=st.sampled_from(MODES))
-def test_waiter_queue_matches_broadcast(stream, p, mode):
+def test_waiter_queue_matches_broadcast(kernel, stream, p, mode):
     requests = _requests(stream)
-    new = _serve(requests, p, mode, broadcast=False)
-    ref = _serve(requests, p, mode, broadcast=True)
+    new = _serve(requests, p, mode, broadcast=False, kernel=kernel)
+    ref = _serve(requests, p, mode, broadcast=True, kernel=kernel)
+    assert ref.path == "event"
+    assert new.path == (
+        "kernel" if kernel == "auto" and mode != "remote-io" else "event"
+    )
     _assert_same_service(new, ref)
     assert new.pool_wakeups <= ref.pool_wakeups
 
@@ -192,11 +213,14 @@ SATURATED_FINISH_TIMES = [
 ]
 
 
-@pytest.fixture(scope="module")
-def saturated_1_degree():
+@pytest.fixture(scope="module", params=KERNELS)
+def saturated_1_degree(request):
     wf = montage_1_degree()
     requests = [ServiceRequest(f"r{i:02d}", wf, 45.0 * i) for i in range(12)]
-    return ServiceSimulator(8, "cleanup").run(requests)
+    with mock.patch.dict(os.environ, {KERNEL_ENV: request.param}):
+        result = ServiceSimulator(8, "cleanup").run(requests)
+    assert result.path == ("kernel" if request.param == "auto" else "event")
+    return result
 
 
 def test_saturated_1_degree_finish_times_are_pinned(saturated_1_degree):

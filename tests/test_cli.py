@@ -1,5 +1,7 @@
 """CLI tests (every subcommand, through the public entry point)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -107,6 +109,22 @@ class TestGanttAndReport:
         assert main(["report", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "Reproduction report" in out
+
+
+class TestService:
+    @pytest.mark.parametrize(
+        "kernel, path", [("auto", "kernel"), ("event", "event")]
+    )
+    def test_event_engine_prints_its_path(
+        self, capsys, monkeypatch, kernel, path
+    ):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        assert main([
+            "service", "--engine", "event", "--requests-per-month", "2e4",
+            "--months", "0.01", "--processors", "16",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert re.search(rf"^path +{path}$", out, re.MULTILINE)
 
 
 class TestErrors:
